@@ -8,7 +8,7 @@
 //! re-ship the missed log suffix from the primary's surviving copy before
 //! restoring it to the secondary set.
 
-use crate::log::fnv1a;
+use crate::log::crc32c;
 use crate::segment::SegmentView;
 use nvme::{Status, VendorCommand};
 use simkit::{SimDuration, SimTime};
@@ -135,7 +135,7 @@ pub fn rejoin_secondary_from_archive(
         }
         if let Some(crc) = seg.crc {
             assert_eq!(
-                fnv1a(seg.bytes),
+                crc32c(seg.bytes),
                 crc,
                 "archived segment at LSN {} failed its seal CRC during rejoin",
                 seg.base_lsn

@@ -16,7 +16,7 @@
 //! is therefore a function of the checkpoint interval, never of total
 //! history.
 
-use crate::log::{decode_stream, fnv1a, LogOp, LogRecord};
+use crate::log::{crc32c, decode_stream, LogOp, LogRecord};
 use crate::segment::SegmentView;
 use crate::storage::Database;
 use std::collections::HashSet;
@@ -143,7 +143,7 @@ pub fn replay_segments(
         }
         let fully_durable = seg.base_lsn + len <= durable_upto;
         if let Some(crc) = seg.crc {
-            if fully_durable && fnv1a(seg.bytes) != crc {
+            if fully_durable && crc32c(seg.bytes) != crc {
                 report.torn_bytes += end - start;
                 stopped = true;
                 continue;

@@ -5,7 +5,7 @@
 //! remote memory is done by the remote Database") and replays it into its
 //! in-memory tables — the log-shipping consumer side.
 
-use crate::log::{decode_one, fnv1a, DecodeError, LogOp};
+use crate::log::{crc32c, decode_one, DecodeError, LogOp};
 use crate::segment::SegmentView;
 use crate::storage::Database;
 use simkit::SimTime;
@@ -95,7 +95,7 @@ impl Replica {
             );
             if let Some(crc) = seg.crc {
                 assert_eq!(
-                    fnv1a(seg.bytes),
+                    crc32c(seg.bytes),
                     crc,
                     "archived segment at LSN {} failed its seal CRC",
                     seg.base_lsn

@@ -3,18 +3,18 @@
 //!
 //! The Starcounter retention model: the log is written as fixed-size
 //! *segments* in the contiguous LSN byte space. The active segment seals
-//! (a whole-segment CRC is stamped and the segment moves to the archive)
-//! when the next record would not fit — records never span segments — and
-//! a completed checkpoint advances the *truncation horizon*, retiring
-//! every archived segment that ends at or below it. Recovery is therefore
-//! always bounded: latest snapshot + the segments after its log offset,
-//! never total history.
+//! (a whole-segment CRC-32C, Castagnoli, is stamped and the segment moves
+//! to the archive) when the next record would not fit — records never span
+//! segments — and a completed checkpoint advances the *truncation
+//! horizon*, retiring every archived segment that ends at or below it.
+//! Recovery is therefore always bounded: latest snapshot + the segments
+//! after its log offset, never total history.
 //!
 //! Segmentation is host-side bookkeeping over the same byte stream the
 //! backend persists — enabling it changes nothing about what is written
 //! to the device, only what the host retains for replay and rejoin.
 
-use crate::log::fnv1a;
+use crate::log::crc32c;
 use std::collections::VecDeque;
 
 /// Segmented-log configuration.
@@ -42,7 +42,7 @@ pub struct SealedSegment {
     pub base_lsn: u64,
     /// The segment's record bytes (whole records only).
     pub bytes: Vec<u8>,
-    /// FNV-1a over `bytes`, stamped at seal time.
+    /// CRC-32C (Castagnoli) over `bytes`, stamped at seal time.
     pub crc: u32,
 }
 
@@ -54,7 +54,7 @@ impl SealedSegment {
 
     /// Whether the stored CRC matches the bytes.
     pub fn verify(&self) -> bool {
-        fnv1a(&self.bytes) == self.crc
+        crc32c(&self.bytes) == self.crc
     }
 }
 
@@ -133,7 +133,7 @@ impl SegmentedLog {
             return;
         }
         let bytes = std::mem::take(&mut self.active);
-        let crc = fnv1a(&bytes);
+        let crc = crc32c(&bytes);
         let base_lsn = self.active_base;
         self.active_base += bytes.len() as u64;
         self.sealed.push_back(SealedSegment { seq: self.next_seq, base_lsn, bytes, crc });

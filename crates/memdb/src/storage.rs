@@ -511,23 +511,54 @@ impl Database {
     }
 
     /// A stable fingerprint of all content (tables, keys, rows) for
-    /// primary/replica equivalence checks.
+    /// primary/replica equivalence checks. Every key and row is hashed
+    /// behind its length, so moving bytes across a key/row boundary
+    /// changes the fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |data: &[u8]| {
-            for b in data {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fingerprint(0xcbf2_9ce4_8422_2325);
         for (i, t) in self.tables.iter().enumerate() {
-            mix(&(i as u32).to_le_bytes());
+            h.word(i as u64);
             for (k, v) in &t.rows {
-                mix(k);
-                mix(&v.row);
+                h.bytes(k);
+                h.bytes(&v.row);
             }
         }
-        h
+        h.finish()
+    }
+}
+
+/// The [`Database::fingerprint`] mix: eight bytes per multiply-rotate step,
+/// with a final avalanche. An equality check, not a cryptographic hash.
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    }
+
+    /// Length, then the bytes in 8-byte little-endian words (the last
+    /// one zero-padded).
+    fn bytes(&mut self, data: &[u8]) {
+        self.word(data.len() as u64);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
     }
 }
 
@@ -771,6 +802,23 @@ mod tests {
         db1.insert(&mut ctx, t, b"x".to_vec(), b"y".to_vec());
         db1.commit(ctx).unwrap();
         assert_ne!(db1.fingerprint(), db2.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_separates_key_and_row_boundaries() {
+        // Regression: the same bytes split differently between key and row
+        // once hashed identically.
+        let fp = |key: &[u8], row: &[u8]| {
+            let (mut db, t) = db_with_table();
+            let mut ctx = db.begin();
+            db.insert(&mut ctx, t, key.to_vec(), row.to_vec());
+            db.commit(ctx).unwrap();
+            db.fingerprint()
+        };
+        assert_ne!(fp(b"ab", b"c"), fp(b"a", b"bc"));
+        assert_ne!(fp(b"abcdefgh", b""), fp(b"abcdefg", b"h"));
+        assert_ne!(fp(b"k", b"\0"), fp(b"k", b""), "zero padding is not content");
+        assert_eq!(fp(b"ab", b"c"), fp(b"ab", b"c"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use simkit::bytes::Bytes;
 use simkit::{Bandwidth, Grant, SerialResource, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// Logical page number (buffer key).
 pub type Lpn = u64;
@@ -18,6 +18,8 @@ pub type Lpn = u64;
 struct Slot {
     data: Bytes,
     dirty: bool,
+    /// Touch stamp: the page's key in the `dirty` or `clean` LRU index.
+    stamp: u64,
 }
 
 /// Buffer statistics.
@@ -39,9 +41,13 @@ pub struct DataBuffer {
     capacity_pages: usize,
     page_bytes: u32,
     slots: HashMap<Lpn, Slot>,
-    /// LRU order of clean pages (dirty pages are never evicted — they are
-    /// pinned until flushed).
-    lru: VecDeque<Lpn>,
+    /// Dirty pages by touch stamp, least recently touched first. Dirty
+    /// pages are never evicted — they are pinned until flushed.
+    dirty: BTreeMap<u64, Lpn>,
+    /// Clean pages by touch stamp; the first entry is the eviction victim.
+    clean: BTreeMap<u64, Lpn>,
+    /// Next touch stamp (monotonic, so stamp order is LRU order).
+    next_stamp: u64,
     port: SerialResource,
     port_bw: Bandwidth,
     stats: BufferStats,
@@ -56,7 +62,9 @@ impl DataBuffer {
             capacity_pages,
             page_bytes,
             slots: HashMap::new(),
-            lru: VecDeque::new(),
+            dirty: BTreeMap::new(),
+            clean: BTreeMap::new(),
+            next_stamp: 0,
             port: SerialResource::new(),
             port_bw,
             stats: BufferStats::default(),
@@ -75,7 +83,7 @@ impl DataBuffer {
 
     /// Number of dirty (unflushed) pages.
     pub fn dirty_count(&self) -> usize {
-        self.slots.values().filter(|s| s.dirty).count()
+        self.dirty.len()
     }
 
     /// Statistics.
@@ -107,8 +115,7 @@ impl DataBuffer {
     /// under flush backlog (the flash scheduler is then the back-pressure).
     pub fn write(&mut self, now: SimTime, lpn: Lpn, data: Bytes) -> Grant {
         let g = self.port_access(now, data.len() as u64);
-        self.touch_lru(lpn);
-        self.slots.insert(lpn, Slot { data, dirty: true });
+        self.install(lpn, data, true);
         self.stats.writes += 1;
         self.evict_if_needed();
         g
@@ -119,7 +126,7 @@ impl DataBuffer {
         if let Some(slot) = self.slots.get(&lpn) {
             let data = slot.data.clone();
             let g = self.port_access(now, data.len() as u64);
-            self.touch_lru(lpn);
+            self.touch(lpn);
             self.stats.read_hits += 1;
             Some((data, g))
         } else {
@@ -131,28 +138,14 @@ impl DataBuffer {
     /// Install a page fetched from flash as a clean cache entry.
     pub fn fill(&mut self, now: SimTime, lpn: Lpn, data: Bytes) -> Grant {
         let g = self.port_access(now, data.len() as u64);
-        self.touch_lru(lpn);
-        self.slots.insert(lpn, Slot { data, dirty: false });
+        self.install(lpn, data, false);
         self.evict_if_needed();
         g
     }
 
     /// The dirty page set, oldest-written first (flush candidates).
     pub fn dirty_pages(&self) -> Vec<Lpn> {
-        // LRU front is oldest; filter to dirty.
-        let mut out: Vec<Lpn> = self
-            .lru
-            .iter()
-            .filter(|l| self.slots.get(l).is_some_and(|s| s.dirty))
-            .copied()
-            .collect();
-        // Dirty pages not in LRU (shouldn't happen, but be safe).
-        for (lpn, s) in &self.slots {
-            if s.dirty && !out.contains(lpn) {
-                out.push(*lpn);
-            }
-        }
-        out
+        self.dirty.values().copied().collect()
     }
 
     /// Fetch page content (no timing), e.g. for a flush's program data.
@@ -163,7 +156,11 @@ impl DataBuffer {
     /// Mark a page clean once its flash program completed.
     pub fn mark_clean(&mut self, lpn: Lpn) {
         if let Some(s) = self.slots.get_mut(&lpn) {
-            s.dirty = false;
+            if s.dirty {
+                s.dirty = false;
+                self.dirty.remove(&s.stamp);
+                self.clean.insert(s.stamp, lpn);
+            }
         }
         self.evict_if_needed();
     }
@@ -171,28 +168,49 @@ impl DataBuffer {
     /// Drop every entry (power loss: device DRAM is volatile).
     pub fn crash(&mut self) {
         self.slots.clear();
-        self.lru.clear();
+        self.dirty.clear();
+        self.clean.clear();
     }
 
-    fn touch_lru(&mut self, lpn: Lpn) {
-        if let Some(pos) = self.lru.iter().position(|l| *l == lpn) {
-            self.lru.remove(pos);
+    /// Insert or replace `lpn` as the most recently touched page.
+    fn install(&mut self, lpn: Lpn, data: Bytes, dirty: bool) {
+        let stamp = self.bump();
+        if let Some(old) = self.slots.insert(lpn, Slot { data, dirty, stamp }) {
+            self.index(old.dirty).remove(&old.stamp);
         }
-        self.lru.push_back(lpn);
+        self.index(dirty).insert(stamp, lpn);
+    }
+
+    /// Make a cached `lpn` the most recently touched page.
+    fn touch(&mut self, lpn: Lpn) {
+        let stamp = self.bump();
+        let slot = self.slots.get_mut(&lpn).expect("touch of a cached page");
+        let (old, dirty) = (std::mem::replace(&mut slot.stamp, stamp), slot.dirty);
+        let index = self.index(dirty);
+        index.remove(&old);
+        index.insert(stamp, lpn);
+    }
+
+    fn bump(&mut self) -> u64 {
+        self.next_stamp += 1;
+        self.next_stamp
+    }
+
+    fn index(&mut self, dirty: bool) -> &mut BTreeMap<u64, Lpn> {
+        if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        }
     }
 
     fn evict_if_needed(&mut self) {
+        // The oldest clean page goes first; when every page is dirty the
+        // buffer overflows and the flusher drains it.
         while self.slots.len() > self.capacity_pages {
-            // Find the oldest clean page.
-            let victim = self.lru.iter().position(|l| self.slots.get(l).is_some_and(|s| !s.dirty));
-            match victim {
-                Some(pos) => {
-                    let lpn = self.lru.remove(pos).expect("position valid");
-                    self.slots.remove(&lpn);
-                    self.stats.evictions += 1;
-                }
-                None => break, // all dirty: allow overflow, flusher will drain
-            }
+            let Some((_, lpn)) = self.clean.pop_first() else { break };
+            self.slots.remove(&lpn);
+            self.stats.evictions += 1;
         }
     }
 }
